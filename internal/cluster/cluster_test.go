@@ -240,7 +240,7 @@ func sameSnapshot(t *testing.T, want, got *serve.Snapshot) {
 	}
 }
 
-// replayOwnerJournal rebuilds the owner's journal through a fresh Applier —
+// replayOwnerJournal rebuilds the owner's journal through a fresh replay —
 // the strongest served-equals-replay form for a promoted owner.
 func replayOwnerJournal(t *testing.T, tc *testCluster, id string) *serve.Snapshot {
 	t.Helper()
@@ -251,7 +251,7 @@ func replayOwnerJournal(t *testing.T, tc *testCluster, id string) *serve.Snapsho
 	if !ok {
 		t.Fatalf("owner %s does not hold job %s", owner, id)
 	}
-	ap, err := serve.NewApplier(job.Spec())
+	ap, err := serve.NewReplay(job.Spec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

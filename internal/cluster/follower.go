@@ -28,11 +28,11 @@ const (
 // every shipped chunk is appended verbatim to a local journal file (so the
 // local file is byte-for-byte a suffix of the primary's stream — plus
 // possibly a torn tail when the stream died mid-record, which adoption
-// truncates) and every complete line is applied through a serve.Applier,
-// giving the follower a live, bit-identical snapshot chain to serve reads
-// from. The staged directory (spec + journal + epoch, checkpoints as
-// needed) is what promotion renames into the registry's jobs tree for
-// AdoptJob.
+// truncates) and every complete line is applied through a live
+// serve.Replay — the journal replay engine recovery runs — giving the
+// follower a live, bit-identical snapshot chain to serve reads from. The
+// staged directory (spec + journal + epoch, checkpoints as needed) is what
+// promotion renames into the registry's jobs tree for AdoptJob.
 //
 // Offsets are tracked in the journal's global (never-truncated)
 // coordinates: the local file may begin with a base header line (framing,
@@ -46,7 +46,7 @@ type follower struct {
 	spec   serve.JobSpec
 
 	mu          sync.Mutex
-	ap          *serve.Applier
+	ap          *serve.Replay
 	file        *os.File
 	base        serve.JournalBase // global position where the local file's stream content starts
 	hdrLen      int64             // bytes of base-header framing at the local file's start (0 when none)
@@ -68,7 +68,7 @@ type follower struct {
 
 // startFollower resumes or stages the replica directory and starts the tail
 // loop. Prior staging is resumed when it is still valid for the (possibly
-// re-pointed) source — the applier is rebuilt by replaying the staged
+// re-pointed) source — the replay is rebuilt by replaying the staged
 // journal and shipping continues from its own durable offset instead of
 // byte 0, so a failover or handoff does not re-ship a long journal from
 // scratch. Resume is safe across a re-point: promotion only ever installs
@@ -96,9 +96,9 @@ func startFollower(jobID, source, dir string, client *http.Client) (*follower, e
 
 // resumeStaged rebuilds the follower from a prior staging of the same job:
 // verify the staged spec still matches the source's, replay the staged
-// journal's complete-line prefix through a fresh applier (seeded from the
-// staged base checkpoint when the journal opens with a base header), drop
-// any torn tail, and continue appending where the staging left off.
+// journal's complete-line prefix through a fresh replay (seeded from the
+// staged base checkpoint when there is one), drop any torn tail, and
+// continue appending where the staging left off.
 func (fo *follower) resumeStaged() error {
 	raw, err := os.ReadFile(filepath.Join(fo.dir, serve.SpecFileName))
 	if err != nil {
@@ -114,24 +114,17 @@ func (fo *follower) resumeStaged() error {
 		return fmt.Errorf("cluster: staged spec for %q differs from source's", fo.jobID)
 	}
 	journalPath := filepath.Join(fo.dir, serve.JournalFileName)
-	hasBase, err := journalStartsWithBase(journalPath)
-	if err != nil {
+	// A staged base checkpoint came with a resync; the replay skips whatever
+	// of the staged journal it covers, with or without a base header.
+	var seed io.Reader
+	if bf, err := os.Open(filepath.Join(fo.dir, serve.BaseCheckpointFileName)); err == nil {
+		defer bf.Close()
+		seed = bf
+	} else if !os.IsNotExist(err) {
 		return err
 	}
-	if hasBase {
-		bf, err := os.Open(filepath.Join(fo.dir, serve.BaseCheckpointFileName))
-		if err != nil {
-			return fmt.Errorf("cluster: staged journal for %q has a base header but no base checkpoint: %w", fo.jobID, err)
-		}
-		fo.ap, err = serve.NewApplierFrom(fo.spec, bf)
-		bf.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		if fo.ap, err = serve.NewApplier(fo.spec); err != nil {
-			return err
-		}
+	if fo.ap, err = serve.NewReplay(fo.spec, seed); err != nil {
+		return err
 	}
 
 	jf, err := os.Open(journalPath)
@@ -186,29 +179,9 @@ func (fo *follower) resumeStaged() error {
 	return nil
 }
 
-// journalStartsWithBase reports whether the staged journal's first line is a
-// base header (in which case replay must seed from the base checkpoint). An
-// empty or headerless-torn file is simply headerless.
-func journalStartsWithBase(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	line, err := bufio.NewReaderSize(f, 64<<10).ReadBytes('\n')
-	if err != nil { // empty file or torn first line: nothing replayable
-		return false, nil
-	}
-	e, err := serve.DecodeJournalLine(bytes.TrimSuffix(line, []byte("\n")))
-	if err != nil {
-		return false, err
-	}
-	return e.Base != nil, nil
-}
-
 // stageFresh discards any prior staging and builds the replica directory
 // from scratch: source spec, fenced epoch record, empty journal, cold
-// applier. Also the live reset path when a re-pointed source turns out to
+// replay. Also the live reset path when a re-pointed source turns out to
 // be behind the staged offset (nothing beyond its durable length can be
 // trusted to match).
 func (fo *follower) stageFresh() error {
@@ -231,9 +204,9 @@ func (fo *follower) stageFresh() error {
 	if err := serve.WriteEpochState(fo.dir, 0, true); err != nil {
 		return fmt.Errorf("cluster: staging epoch: %w", err)
 	}
-	ap, err := serve.NewApplier(fo.spec)
+	ap, err := serve.NewReplay(fo.spec, nil)
 	if err != nil {
-		return fmt.Errorf("cluster: building applier for %q: %w", fo.jobID, err)
+		return fmt.Errorf("cluster: building replay for %q: %w", fo.jobID, err)
 	}
 	f, err := os.OpenFile(filepath.Join(fo.dir, serve.JournalFileName),
 		os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -360,10 +333,10 @@ func (fo *follower) shipOnce(waitMS int) error {
 }
 
 // applyBuf drains complete lines from the reassembly buffer through the
-// applier, advancing the applied offsets. The base header line — legal only
-// at local offset 0 — records the file's global framing instead of counting
-// as a stream record. Callers must hold fo.mu (or own the follower
-// exclusively, as resume does before the loop starts).
+// replay, advancing the applied offsets. The base header line — which the
+// replay accepts only as the first record — records the file's global
+// framing instead of counting as a stream record. Callers must hold fo.mu
+// (or own the follower exclusively, as resume does before the loop starts).
 func (fo *follower) applyBuf() error {
 	for {
 		idx := bytes.IndexByte(fo.buf, '\n')
@@ -373,14 +346,6 @@ func (fo *follower) applyBuf() error {
 		line := fo.buf[:idx]
 		if len(bytes.TrimSpace(line)) > 0 {
 			e, err := serve.DecodeJournalLine(line)
-			if err == nil && e.Base != nil {
-				if fo.applied != 0 || fo.hdrLen != 0 {
-					err = fmt.Errorf("journal base header at offset %d (want 0)", fo.applied)
-				} else {
-					fo.hdrLen = int64(idx + 1)
-					fo.base = *e.Base
-				}
-			}
 			if err == nil {
 				err = fo.ap.Apply(e)
 			}
@@ -391,7 +356,9 @@ func (fo *follower) applyBuf() error {
 				fo.applyBroken = true
 				return fmt.Errorf("cluster: applying shipped record for %q: %w", fo.jobID, err)
 			}
-			if e.Base == nil {
+			if e.Base != nil {
+				fo.hdrLen, fo.base = int64(idx+1), *e.Base
+			} else {
 				fo.appliedRecs++
 			}
 		}
@@ -402,7 +369,7 @@ func (fo *follower) applyBuf() error {
 
 // resync re-anchors the follower past a truncated source journal: fetch the
 // base checkpoint (the primary's own model at the truncation boundary),
-// rebuild the applier from it, reset the local journal, and arrange for the
+// rebuild the replay from it, reset the local journal, and arrange for the
 // next tail request to fetch from the base with the header line included.
 // Replaying the retained suffix on top of the checkpoint yields exactly the
 // state a from-zero replay of the untruncated journal would have.
@@ -435,7 +402,7 @@ func (fo *follower) resync(baseBytes int64) error {
 	if err != nil {
 		return err
 	}
-	ap, err := serve.NewApplierFrom(fo.spec, sf)
+	ap, err := serve.NewReplay(fo.spec, sf)
 	sf.Close()
 	if err != nil {
 		return err

@@ -440,17 +440,7 @@ func (r *clusterRunner) finalInvariants() {
 	// answer, in ack order. The driver changes ownership between requests,
 	// so the sequences must match exactly — nothing lost, nothing doubled.
 	journalPath := owner.node.JournalPath(r.jobID)
-	var journaled []answers.Answer
-	var base serve.JournalBase
-	err := serve.ReadJournal(journalPath, func(e serve.JournalEntry) error {
-		if e.Answer != nil {
-			journaled = append(journaled, *e.Answer)
-		}
-		if e.Base != nil {
-			base = *e.Base
-		}
-		return nil
-	})
+	journaled, base, err := journalAnswers(journalPath)
 	if err == nil {
 		err = checkAckedDurable(journaled, r.acked, base.Ans)
 	}

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -11,137 +12,51 @@ import (
 	"cpa/internal/serve"
 )
 
-// replayJournal rebuilds the consensus a job's journal encodes: a model
-// advanced by PartialFit with the recorded mini-batch boundaries — exactly
-// the FitStream computation the daemon performed, in the arrival order the
-// journal persisted — and a mirrored core.Publisher driven by the recorded
-// publish modes, so incremental publications (which carry untouched items'
-// entries forward across rounds) reproduce bit-for-bit too.
-//
-// A truncated journal (one opening with a base header) is checkpoint-
-// anchored: the model is seeded from the base checkpoint next to the
-// journal — the daemon's own model at the truncation boundary — and the
-// retained suffix replays on top, which by construction equals the
-// from-zero replay of the untruncated journal. The returned base is the
-// zero value for an untruncated journal.
-//
-// Returns the post-replay consensus view (nil when no fit marker is
-// covered), the suffix's journaled answer sequence, the answers journaled
-// but not covered by any fit marker, and the base.
-func replayJournal(path string, spec serve.JobSpec) (*core.ConsensusView, []answers.Answer, []answers.Answer, serve.JournalBase, error) {
-	var base serve.JournalBase
-	fail := func(err error) (*core.ConsensusView, []answers.Answer, []answers.Answer, serve.JournalBase, error) {
-		return nil, nil, nil, base, err
-	}
+// replayView rebuilds the consensus a job's journal encodes through serve's
+// journal replay engine: the recorded arrival order, mini-batch boundaries
+// and publish modes, so the result is the computation the daemon performed.
+// An untruncated journal replays from a fresh model; a truncated one (it
+// opens with a base header) from the base checkpoint next to it. Returns
+// nil when no fit round ran.
+func replayView(path string, spec serve.JobSpec) (*core.ConsensusView, error) {
 	var entries []serve.JournalEntry
 	if err := serve.ReadJournal(path, func(e serve.JournalEntry) error {
 		entries = append(entries, e)
 		return nil
 	}); err != nil {
-		return fail(err)
+		return nil, err
 	}
-	var model *core.Model
-	seeded := false
+	var seed io.Reader
 	if len(entries) > 0 && entries[0].Base != nil {
-		base = *entries[0].Base
-		entries = entries[1:]
 		f, err := os.Open(filepath.Join(filepath.Dir(path), serve.BaseCheckpointFileName))
 		if err != nil {
-			return fail(fmt.Errorf("journal has a base header but its checkpoint is unreadable: %w", err))
+			return nil, fmt.Errorf("journal has a base header but its checkpoint is unreadable: %w", err)
 		}
-		model, err = core.Load(f)
-		f.Close()
-		if err != nil {
-			return fail(err)
-		}
-		if int64(model.TotalIngested()) != base.Ans || int64(model.BatchRounds()) != base.Fits {
-			return fail(fmt.Errorf("base checkpoint covers %d answers / %d fits, journal base says %d / %d",
-				model.TotalIngested(), model.BatchRounds(), base.Ans, base.Fits))
-		}
-		seeded = true
-	} else {
-		var err error
-		if model, err = core.NewModel(spec.Model, spec.Items, spec.Workers, spec.Labels); err != nil {
-			return fail(err)
-		}
+		defer f.Close()
+		seed = f
 	}
+	rp, err := serve.ReplayEntries(spec, seed, entries)
+	if err != nil {
+		return nil, err
+	}
+	return rp.View(), nil
+}
 
-	// Every full publication (and every restart re-anchor, and the very
-	// first round, which a cold publisher always publishes full) rebuilds
-	// the whole view from the model state of its round, superseding all
-	// earlier snapshot history. The mirrored publisher therefore only needs
-	// to publish from the last such anchor onward; fit rounds before it
-	// replay the model alone. A checkpoint seed is itself an anchor
-	// (lastAnchor -1): truncation only ever fires at full-published rounds,
-	// so the daemon's live chain was re-anchored full at the base too.
-	lastAnchor := -1
-	if !seeded {
-		lastAnchor = -2
-		for k, e := range entries {
-			if e.FitN > 0 && lastAnchor == -2 {
-				lastAnchor = k // first round: published full by the cold publisher
-			}
+// journalAnswers returns a journal's answer records in order and its
+// truncation base (zero for an untruncated journal).
+func journalAnswers(path string) ([]answers.Answer, serve.JournalBase, error) {
+	var journaled []answers.Answer
+	var base serve.JournalBase
+	err := serve.ReadJournal(path, func(e serve.JournalEntry) error {
+		if e.Answer != nil {
+			journaled = append(journaled, *e.Answer)
 		}
-	}
-	for k, e := range entries {
-		if (e.FitN > 0 && e.FitFull) || e.Restart {
-			lastAnchor = k
+		if e.Base != nil {
+			base = *e.Base
 		}
-	}
-
-	pub := core.NewPublisher(model)
-	var view *core.ConsensusView
-	var err error
-	if seeded && lastAnchor == -1 && model.Fitted() {
-		if view, _, err = pub.Publish(true); err != nil {
-			return fail(err)
-		}
-	}
-	var acked, pending []answers.Answer
-	for k, e := range entries {
-		switch {
-		case e.Answer != nil:
-			acked = append(acked, *e.Answer)
-			pending = append(pending, *e.Answer)
-		case e.Restart:
-			if k == lastAnchor && model.Fitted() {
-				if view, _, err = pub.Publish(true); err != nil {
-					return fail(err)
-				}
-			}
-		case e.Base != nil:
-			return fail(fmt.Errorf("journal base header past the first record"))
-		default: // fit marker
-			if e.FitN <= 0 || e.FitN > len(pending) {
-				return fail(fmt.Errorf("fit marker n=%d with %d pending answers", e.FitN, len(pending)))
-			}
-			if err := model.PartialFit(pending[:e.FitN]); err != nil {
-				return fail(err)
-			}
-			pending = pending[e.FitN:]
-			if k == lastAnchor {
-				view, _, err = pub.Publish(true)
-			} else if k > lastAnchor {
-				view, _, err = pub.Publish(false)
-			} else {
-				continue
-			}
-			if err != nil {
-				return fail(err)
-			}
-		}
-	}
-	if !model.Fitted() {
-		return nil, acked, pending, base, nil
-	}
-	if view == nil {
-		// Seeded, fitted, but no anchor or fit marker replayed (an empty
-		// retained suffix): the checkpoint state is the served state.
-		if view, _, err = pub.Publish(true); err != nil {
-			return fail(err)
-		}
-	}
-	return view, acked, pending, base, nil
+		return nil
+	})
+	return journaled, base, err
 }
 
 // CheckReplay verifies the served-equals-replay invariant: the snapshot a
@@ -152,20 +67,28 @@ func replayJournal(path string, spec serve.JobSpec) (*core.ConsensusView, []answ
 // the property that makes crash recovery exact and that the PR 2 class of
 // arrival-order persistence bugs violates.
 func CheckReplay(journalPath string, spec serve.JobSpec, snap *serve.Snapshot) error {
+	_, err := checkReplay(journalPath, spec, snap)
+	return err
+}
+
+// checkReplay is CheckReplay that also returns the replayed view, for the
+// invariants that inspect it (nil when no fit round ran or the replay
+// failed).
+func checkReplay(journalPath string, spec serve.JobSpec, snap *serve.Snapshot) (*core.ConsensusView, error) {
 	if snap == nil {
-		return fmt.Errorf("no served snapshot to check against")
+		return nil, fmt.Errorf("no served snapshot to check against")
 	}
-	view, _, _, _, err := replayJournal(journalPath, spec)
+	view, err := replayView(journalPath, spec)
 	if err != nil {
-		return fmt.Errorf("replaying journal: %w", err)
+		return nil, fmt.Errorf("replaying journal: %w", err)
 	}
 	if view == nil {
 		if snap.Round != 0 {
-			return fmt.Errorf("served round %d but journal has no fit markers", snap.Round)
+			return nil, fmt.Errorf("served round %d but journal has no fit markers", snap.Round)
 		}
-		return nil
+		return nil, nil
 	}
-	return diffSnapshot(snap, view)
+	return view, diffSnapshot(snap, view)
 }
 
 // diffSnapshot compares a served snapshot with a replayed consensus view,

@@ -388,7 +388,7 @@ func TestTornTailEveryByteBoundary(t *testing.T) {
 }
 
 // TestApplierMatchesPrimary pins the replication acceptance criterion at
-// the unit level: feeding a primary's journal through a serve.Applier —
+// the unit level: feeding a primary's journal through a live serve.Replay —
 // exactly what a cluster follower does — reproduces the primary's
 // published snapshot bit for bit at quiesce.
 func TestApplierMatchesPrimary(t *testing.T) {
@@ -408,7 +408,7 @@ func TestApplierMatchesPrimary(t *testing.T) {
 	ingestAll(t, job, all, 48) // 48-chunks force interim (incremental) rounds
 	primary := waitSnapshot(t, job, len(all))
 
-	ap, err := NewApplier(job.Spec())
+	ap, err := NewReplay(job.Spec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -789,8 +789,6 @@ func (j *Job) fitBatch(batch []answers.Answer, roundsSinceSave *int) error {
 	if err := j.model.PartialFit(batch); err != nil {
 		return err
 	}
-	j.fitted.Add(int64(len(batch)))
-	j.rounds.Add(1)
 	j.mu.Lock()
 	full := len(j.queue)-j.head == 0
 	if j.truncate && j.dir != "" && *roundsSinceSave+1 >= j.saveEvery {
@@ -821,6 +819,10 @@ func (j *Job) fitBatch(batch []answers.Answer, roundsSinceSave *int) error {
 	if err := j.publish(full); err != nil {
 		return err
 	}
+	// The counters advance only now, so stats are a consistent cut: a round
+	// counted as fitted has its marker durable and its snapshot visible.
+	j.fitted.Add(int64(len(batch)))
+	j.rounds.Add(1)
 	if j.dir != "" {
 		*roundsSinceSave++
 		if *roundsSinceSave >= j.saveEvery {
@@ -883,7 +885,7 @@ func (j *Job) publish(full bool) error {
 	j.snapTime.Store(now.UnixNano())
 	j.pubHist.observe(time.Since(start))
 	if j.traj != nil {
-		j.traj.maybeRecord(j.rounds.Load(), j.model)
+		j.traj.maybeRecord(int64(j.model.BatchRounds()), j.model)
 	}
 	return nil
 }

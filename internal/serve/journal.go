@@ -671,6 +671,9 @@ func (line journalLine) entry() (JournalEntry, error) {
 		a := line.Ans.Answer()
 		return JournalEntry{Answer: &a}, nil
 	case opFit:
+		if line.N <= 0 {
+			return JournalEntry{}, fmt.Errorf("%w: fit marker n=%d", ErrInvalid, line.N)
+		}
 		return JournalEntry{FitN: line.N, FitFull: line.Mode != pubModeInc}, nil
 	case opRestart:
 		return JournalEntry{Restart: true}, nil
@@ -694,16 +697,16 @@ func (line journalLine) entry() (JournalEntry, error) {
 // lines elsewhere are an error. A missing file yields no entries. A
 // truncated journal's base header is delivered as its first entry.
 func ReadJournal(path string, fn func(JournalEntry) error) error {
-	_, err := ReadJournalInfo(path, fn)
+	_, err := readJournalInfo(path, fn)
 	return err
 }
 
-// JournalInfo summarises a journal file's coordinates as read from disk.
-type JournalInfo struct {
-	// Base is the truncation header (zero unless HasBase).
-	Base    JournalBase
-	HasBase bool
-	// BaseLineLen is the byte length of the base header line (0 without one).
+// journalInfo is a journal file's truncation state and durable position
+// as read from disk.
+type journalInfo struct {
+	// Base is the truncation header (zero without one) and BaseLineLen the
+	// byte length of its line (0 without one).
+	Base        JournalBase
 	BaseLineLen int64
 	// FileBytes/FileRecords are the durable file-local position: FileBytes
 	// includes the base header line, FileRecords does not count it.
@@ -711,23 +714,13 @@ type JournalInfo struct {
 	FileRecords int64
 }
 
-// GlobalBytes returns the durable offset in global (never-truncated)
-// journal coordinates.
-func (ji JournalInfo) GlobalBytes() int64 {
-	return ji.Base.Bytes + (ji.FileBytes - ji.BaseLineLen)
-}
-
-// GlobalRecords returns the durable record count in global coordinates.
-func (ji JournalInfo) GlobalRecords() int64 { return ji.Base.Recs + ji.FileRecords }
-
-// ReadJournalInfo streams a journal like ReadJournal and additionally
-// returns the file's truncation state and durable offsets — what a
-// checkpoint-anchored replayer or a resuming follower needs to place the
-// file in global coordinates.
-func ReadJournalInfo(path string, fn func(JournalEntry) error) (JournalInfo, error) {
-	var info JournalInfo
+// readJournalInfo streams a journal like ReadJournal and additionally
+// returns the file's truncation state and durable position — what recovery
+// needs to reopen the file for append in global coordinates.
+func readJournalInfo(path string, fn func(JournalEntry) error) (journalInfo, error) {
+	var info journalInfo
 	first := true
-	bytes, _, err := replayJournal(path, func(line journalLine, size int64) error {
+	bytes, err := scanJournal(path, func(line journalLine, size int64) error {
 		isFirst := first
 		first = false
 		e, err := line.entry()
@@ -738,7 +731,7 @@ func ReadJournalInfo(path string, fn func(JournalEntry) error) (JournalInfo, err
 			if !isFirst {
 				return fmt.Errorf("%w: base record past the journal header", ErrInvalid)
 			}
-			info.Base, info.HasBase, info.BaseLineLen = *e.Base, true, size
+			info.Base, info.BaseLineLen = *e.Base, size
 		} else {
 			info.FileRecords++
 		}
@@ -751,28 +744,28 @@ func ReadJournalInfo(path string, fn func(JournalEntry) error) (JournalInfo, err
 	return info, err
 }
 
-// replayJournal streams a journal file through fn in order (each line with
-// its on-disk byte length, newline included) and returns the durable
-// (byte, record) position: the offset just past the last complete,
-// well-formed line. A torn final line — unterminated, or malformed with
-// nothing after it — is tolerated, skipped, and excluded from the durable
-// offset (a crash can tear a record mid-write; it was never acked, and a
-// shipped stream can end mid-record when the primary dies mid-send). A
-// malformed line in the middle of the file is an error. A missing file
-// yields no entries at offset 0. Label sets decoded on the fast path are
-// bump-allocated from one arena for the whole replay.
-func replayJournal(path string, fn func(journalLine, int64) error) (int64, int64, error) {
+// scanJournal streams a journal file through fn in order (each line with
+// its on-disk byte length, newline included) and returns the durable byte
+// position: the offset just past the last complete, well-formed line. A
+// torn final line — unterminated, or malformed with nothing after it — is
+// tolerated, skipped, and excluded from the durable offset (a crash can
+// tear a record mid-write; it was never acked, and a shipped stream can end
+// mid-record when the primary dies mid-send). A malformed line in the
+// middle of the file is an error. A missing file yields no entries at
+// offset 0. Label sets decoded on the fast path are
+// bump-allocated from one arena for the whole scan.
+func scanJournal(path string, fn func(journalLine, int64) error) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return 0, 0, nil
+			return 0, nil
 		}
-		return 0, 0, fmt.Errorf("serve: opening journal: %w", err)
+		return 0, fmt.Errorf("serve: opening journal: %w", err)
 	}
 	defer f.Close()
 	rd := bufio.NewReaderSize(f, 64*1024)
 	var arena labelset.Arena
-	var off, recs int64
+	var off int64
 	var pendingErr error
 	lineNo := 0
 	for {
@@ -786,12 +779,12 @@ func replayJournal(path string, fn func(journalLine, int64) error) (int64, int64
 			break
 		}
 		if err != nil {
-			return off, recs, fmt.Errorf("serve: reading journal: %w", err)
+			return off, fmt.Errorf("serve: reading journal: %w", err)
 		}
 		lineNo++
 		if pendingErr != nil {
 			// The malformed line was not the last one: real corruption.
-			return off, recs, pendingErr
+			return off, pendingErr
 		}
 		trimmed := raw[:len(raw)-1]
 		if len(trimmed) == 0 {
@@ -804,10 +797,9 @@ func replayJournal(path string, fn func(journalLine, int64) error) (int64, int64
 			continue
 		}
 		if err := fn(line, int64(len(raw))); err != nil {
-			return off, recs, err
+			return off, err
 		}
 		off += int64(len(raw))
-		recs++
 	}
-	return off, recs, nil
+	return off, nil
 }

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 
-	"cpa/internal/answers"
 	"cpa/internal/core"
 )
 
@@ -281,9 +280,9 @@ func writeFileAtomic(path string, data []byte) error {
 }
 
 // openExistingJob recovers one job from its directory: load the spec,
-// restore the latest checkpoint (or a fresh model), replay the journal
-// suffix with the original mini-batch boundaries, requeue any answers that
-// were journaled but never fitted, and start the fitter.
+// replay the journal from the newest checkpoint (or a fresh model) with the
+// original mini-batch boundaries, requeue any answers that were journaled
+// but never fitted, and start the fitter.
 func openExistingJob(dir string, cfg Config) (*Job, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, specFile))
 	if err != nil {
@@ -293,17 +292,13 @@ func openExistingJob(dir string, cfg Config) (*Job, error) {
 	if err := json.Unmarshal(raw, &spec); err != nil {
 		return nil, fmt.Errorf("decoding spec: %w", err)
 	}
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
 
-	// Restore the newest checkpoint: model.gob when present, else the
+	// Seed from the newest checkpoint: model.gob when present, else the
 	// truncation anchor base.gob (a follower of a truncated source stages
-	// only the latter), else a fresh model. A truncated journal with no
-	// checkpoint at or past its base is unrecoverable — the skip arithmetic
-	// below rejects it, since the dropped prefix cannot be replayed.
+	// only the latter), else a fresh model. The replay places the journal
+	// suffix on top (DESIGN.md §12): it rejects a truncated journal whose
+	// dropped prefix no checkpoint covers.
 	var model *core.Model
-	loaded := false
 	for _, name := range []string{modelFile, baseFile} {
 		f, err := os.Open(filepath.Join(dir, name))
 		if os.IsNotExist(err) {
@@ -312,18 +307,29 @@ func openExistingJob(dir string, cfg Config) (*Job, error) {
 		if err != nil {
 			return nil, fmt.Errorf("opening checkpoint: %w", err)
 		}
-		model, err = core.Load(f)
+		model, err = seedModel(spec, f)
 		f.Close()
 		if err != nil {
-			return nil, fmt.Errorf("loading checkpoint %s: %w", name, err)
+			return nil, fmt.Errorf("checkpoint %s: %w", name, err)
 		}
-		loaded = true
 		break
 	}
-	if !loaded {
-		if model, err = core.NewModel(spec.Model, spec.Items, spec.Workers, spec.Labels); err != nil {
+	if model == nil {
+		if model, err = seedModel(spec, nil); err != nil {
 			return nil, err
 		}
+	}
+	rp := newReplay(spec, model)
+	journalPath := filepath.Join(dir, journalFile)
+	// A kill between a truncation's temp-file write and its rename can leave
+	// the temp file behind; it was never the journal, so drop it.
+	os.Remove(journalPath + ".tmp")
+	info, err := readJournalInfo(journalPath, rp.Apply)
+	if err == nil {
+		err = rp.finish()
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	j := newJob(spec, model, dir, cfg)
@@ -333,109 +339,17 @@ func openExistingJob(dir string, cfg Config) (*Job, error) {
 	if j.epoch, err = loadEpochState(dir); err != nil {
 		return nil, err
 	}
-
-	// Replay the journal suffix. In global coordinates the checkpoint covers
-	// the first TotalIngested() answer lines and the first BatchRounds() fit
-	// markers; a truncated journal's base header states how many of each its
-	// dropped prefix held, so the file-local skip counts are the difference.
-	// Everything after is replayed with the recorded batch boundaries so the
-	// recovered posterior matches the pre-crash one exactly. This works for
-	// any checkpoint at or past the base — including the window where a kill
-	// landed after base.gob was copied but before the journal rewrite
-	// committed (untruncated journal, checkpoint ahead of a stale base.gob).
-	checkpointAns := int64(model.TotalIngested())
-	skipAns, skipFit := checkpointAns, int64(model.BatchRounds())
-	coveredBySkipped := int64(0)
-	var pending []answers.Answer
-	var base JournalBase
-	var hdrLen int64
-	firstLine := true
-	journalPath := filepath.Join(dir, journalFile)
-	// A kill between a truncation's temp-file write and its rename can leave
-	// the temp file behind; it was never the journal, so drop it.
-	os.Remove(journalPath + ".tmp")
-	durableOff, durableRecs, err := replayJournal(journalPath, func(line journalLine, size int64) error {
-		isFirst := firstLine
-		firstLine = false
-		switch line.Op {
-		case opAnswer:
-			if line.Ans == nil {
-				return fmt.Errorf("%w: answer line without payload", ErrInvalid)
-			}
-			if skipAns > 0 {
-				skipAns--
-				return nil
-			}
-			a := line.Ans.Answer()
-			if err := j.validate(a); err != nil {
-				return err
-			}
-			pending = append(pending, a)
-		case opFit:
-			if skipFit > 0 {
-				skipFit--
-				coveredBySkipped += int64(line.N)
-				return nil
-			}
-			if line.N <= 0 || line.N > len(pending) {
-				return fmt.Errorf("%w: fit marker n=%d with %d pending answers", ErrInvalid, line.N, len(pending))
-			}
-			if err := model.PartialFit(pending[:line.N]); err != nil {
-				return err
-			}
-			pending = pending[line.N:]
-		case opRestart:
-			// A previous recovery's re-anchor: only the snapshot publisher
-			// cares (replay mirrors it); the model replay is unaffected.
-		case opTune:
-			// An auto-tune annotation. Deliberately not re-applied: the
-			// settings it records changed only which batch boundaries later
-			// fit markers laid down, and those markers are replayed verbatim.
-			// A recovered job resumes at its checkpoint's (tuned) settings
-			// and the tuner, if enabled, re-learns from there.
-		case opBase:
-			if line.Base == nil {
-				return fmt.Errorf("%w: base line without payload", ErrInvalid)
-			}
-			if !isFirst {
-				return fmt.Errorf("%w: base record past the journal header", ErrInvalid)
-			}
-			base, hdrLen = *line.Base, size
-			skipAns -= base.Ans
-			skipFit -= base.Fits
-			coveredBySkipped += base.Covered
-			if skipAns < 0 || skipFit < 0 {
-				return fmt.Errorf("%w: checkpoint (%d answers, %d markers) behind journal base (%d, %d): truncated prefix is unreplayable",
-					ErrInvalid, checkpointAns, model.BatchRounds(), base.Ans, base.Fits)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if skipAns > 0 || skipFit > 0 || coveredBySkipped != checkpointAns {
-		return nil, fmt.Errorf("%w: journal shorter than checkpoint (missing %d answers, %d markers; markers covered %d of %d)",
-			ErrInvalid, skipAns, skipFit, coveredBySkipped, checkpointAns)
-	}
-
-	j.ingested.Store(int64(model.TotalIngested()) + int64(len(pending)))
-	j.fitted.Store(int64(model.TotalIngested()))
-	j.rounds.Store(int64(model.BatchRounds()))
+	j.ingested.Add(int64(len(rp.pending)))
 	// Truncate any torn tail (a crash mid-append, or a shipped journal whose
 	// stream died mid-record) back to the durable offset before reopening
 	// for append: a new record must never concatenate onto a half-written
 	// one, which the next recovery would reject as mid-file corruption.
-	if st, serr := os.Stat(journalPath); serr == nil && st.Size() > durableOff {
-		if terr := os.Truncate(journalPath, durableOff); terr != nil {
+	if st, serr := os.Stat(journalPath); serr == nil && st.Size() > info.FileBytes {
+		if terr := os.Truncate(journalPath, info.FileBytes); terr != nil {
 			return nil, fmt.Errorf("truncating torn journal tail: %w", terr)
 		}
 	}
-	recs := durableRecs
-	if hdrLen != 0 {
-		recs-- // the base header line is not a journal record
-	}
-	if j.journal, err = openJournal(journalPath, cfg.SyncJournal, recs, base, hdrLen); err != nil {
+	if j.journal, err = openJournal(journalPath, cfg.SyncJournal, info.FileRecords, info.Base, info.BaseLineLen); err != nil {
 		return nil, err
 	}
 	j.journal.stats = &j.ingestHist
@@ -453,7 +367,7 @@ func openExistingJob(dir string, cfg Config) (*Job, error) {
 			return nil, err
 		}
 	}
-	j.enqueueRecovered(pending)
+	j.enqueueRecovered(rp.pending)
 	j.start()
 	return j, nil
 }
