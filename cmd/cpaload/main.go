@@ -25,6 +25,10 @@
 // paces arrivals in wall-clock time at each scenario's rate. The exit
 // status is 1 when any invariant fails, so the command doubles as a soak
 // gate in CI.
+//
+// The cluster-failover and cluster-handoff scenarios build their own
+// in-process cluster — a router in front of the nodes `cpaserve -name`
+// serves — and ignore -addr.
 package main
 
 import (

@@ -6,6 +6,7 @@
 // Usage:
 //
 //	cpaserve -addr :8080 -data ./cpaserve-data
+//	cpaserve -name a -addr :8081 -data ./node-a
 //
 // Quick walkthrough (see README.md for a complete session):
 //
@@ -15,6 +16,15 @@
 //
 // On restart with the same -data directory every job is recovered from its
 // checkpoint and journal; consensus survives crashes.
+//
+// With -name the daemon runs as one member of a sharded cluster
+// (internal/cluster; DESIGN.md §11): the same API for the jobs it owns as
+// primary, plus the replication control surface a cparouter drives —
+// journal-shipping follower replicas, replica promotion and per-job
+// replication stats. The name must match the router's roster, and a node
+// needs a -data directory: replication ships its journals. In a cluster the
+// router is the front door (it stamps ownership epochs and enforces the
+// replication ack barrier).
 package main
 
 import (
@@ -29,26 +39,28 @@ import (
 	"syscall"
 	"time"
 
+	"cpa/internal/cluster"
 	"cpa/internal/serve"
 )
 
 func main() {
 	var (
+		name      = flag.String("name", "", "cluster node name, matching the router's roster ('' = standalone daemon)")
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		data      = flag.String("data", "cpaserve-data", "data directory for journals and checkpoints ('' = ephemeral, no recovery)")
+		data      = flag.String("data", "cpaserve-data", "data directory for journals, checkpoints and replica staging ('' = ephemeral, no recovery; not allowed with -name)")
 		queue     = flag.Int("queue", 0, "per-job ingestion queue limit (0 = default 65536)")
 		saveEvery = flag.Int("save-every", 0, "checkpoint the model every N fit rounds (0 = default 16)")
 		batchWait = flag.Duration("batch-wait", 0, "max wait for a mini-batch to fill before fitting a partial one (0 = default 100ms)")
 		syncJrnl  = flag.Bool("sync-journal", false, "fsync the journal after every ingested batch")
 		truncate  = flag.Bool("truncate-journal", false, "drop the journal prefix behind each durable checkpoint (bounded disk for long-lived jobs)")
 		truncMin  = flag.Int64("truncate-min", 0, "minimum droppable prefix in bytes before a truncation fires (0 = default 64KiB)")
-		autoTune  = flag.Bool("auto-tune", false, "steer each job's Parallelism and mini-batch size toward the measured USL knee (DESIGN.md §13)")
+		autoTune  = flag.Bool("auto-tune", false, "steer each owned job's Parallelism and mini-batch size toward the measured USL knee (DESIGN.md §13; tune annotations replicate as journal no-ops)")
 		tuneWin   = flag.Int("auto-tune-window", 0, "fit rounds per auto-tune measurement window (0 = default 8)")
 		tuneMaxP  = flag.Int("auto-tune-max-par", 0, "auto-tune Parallelism ladder cap (0 = default GOMAXPROCS)")
 	)
 	flag.Parse()
 
-	reg, err := serve.Open(serve.Config{
+	cfg := serve.Config{
 		Dir:                    *data,
 		QueueLimit:             *queue,
 		SaveEvery:              *saveEvery,
@@ -59,40 +71,59 @@ func main() {
 		AutoTune:               *autoTune,
 		AutoTuneWindow:         *tuneWin,
 		AutoTuneMaxParallelism: *tuneMaxP,
-	})
-	if err != nil {
-		log.Fatalf("cpaserve: %v", err)
+	}
+	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
+	log.SetPrefix("cpaserve: ")
+	var (
+		handler http.Handler
+		reg     *serve.Registry
+		closer  func() error
+	)
+	if *name == "" {
+		r, err := serve.Open(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		handler, reg, closer = serve.NewServer(r), r, r.Close
+	} else {
+		log.SetPrefix("cpaserve " + *name + ": ")
+		node, err := cluster.NewNode(*name, *data, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		handler, reg, closer = node, node.Registry(), node.Close
 	}
 	if n := len(reg.Jobs()); n > 0 {
-		log.Printf("cpaserve: recovered %d job(s) from %s", n, *data)
+		log.Printf("recovered %d job(s) from %q", n, *data)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: serve.NewServer(reg)}
+	srv := &http.Server{Addr: *addr, Handler: handler}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	log.Printf("cpaserve: serving on %s (data: %s)", *addr, dataDesc(*data))
+	log.Printf("serving on %s (data: %s)", *addr, dataDesc(*data))
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
-		log.Printf("cpaserve: %s, shutting down", sig)
+		log.Printf("%s, shutting down", sig)
 	case err := <-errCh:
 		if !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("cpaserve: serve error: %v", err)
+			log.Printf("serve error: %v", err)
 		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("cpaserve: HTTP shutdown: %v", err)
+		log.Printf("HTTP shutdown: %v", err)
 	}
-	// Drain queues, checkpoint every model, close journals.
-	if err := reg.Close(); err != nil {
-		log.Fatalf("cpaserve: closing registry: %v", err)
+	// Drain queues, checkpoint every model, close journals; a node also
+	// stops its followers.
+	if err := closer(); err != nil {
+		log.Fatalf("closing: %v", err)
 	}
-	log.Printf("cpaserve: clean shutdown")
+	log.Printf("clean shutdown")
 }
 
 func dataDesc(dir string) string {

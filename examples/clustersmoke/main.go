@@ -1,6 +1,7 @@
 // Cluster smoke driver: streams a deterministic simulated crowd into a
-// cpaserve target — a cparouter fronting a sharded cluster, or a single
-// cpaserve — in lockstep chunks, quiescing after every chunk.
+// cpaserve target — a cparouter fronting a sharded cluster of
+// `cpaserve -name` nodes, or a single cpaserve — in lockstep chunks,
+// quiescing after every chunk.
 //
 // The lockstep discipline (chunk size == mini-batch size, full quiesce
 // between chunks) makes the fitter's batch boundaries a pure function of

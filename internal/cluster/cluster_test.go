@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -519,5 +521,68 @@ func TestReturnedPrimaryIsFenced(t *testing.T) {
 	tc.quiesce("zf")
 	if _, status := tc.consensus("zf", ""); status != http.StatusOK {
 		t.Fatalf("consensus via router: status %d", status)
+	}
+}
+
+// TestReplicaReadDuringResync reads a follower's consensus while its tail
+// loop keeps resyncing, each resync swapping in a fresh replay. The source
+// is a stub that answers every tail request with 410 and a truncation base
+// just past the follower's offset, so the follower re-anchors on every
+// round trip. Under -race, a read that loads the replay without the
+// follower's lock fails the test.
+func TestReplicaReadDuringResync(t *testing.T) {
+	spec := serve.JobSpec{ID: "resync", Items: 8, Workers: 4, Labels: 3}
+	model, err := core.NewModel(core.Config{Seed: 1}, spec.Items, spec.Workers, spec.Labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Model = model.Config()
+	var ckpt bytes.Buffer
+	if err := model.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	var resyncs atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/{id}/spec", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(spec)
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/journal", func(w http.ResponseWriter, r *http.Request) {
+		from, _ := strconv.ParseInt(r.URL.Query().Get("from"), 10, 64)
+		w.Header().Set("X-CPA-Journal-Base", strconv.FormatInt(from+1, 10))
+		http.Error(w, `{"error":"journal truncated"}`, http.StatusGone)
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/checkpoint", func(w http.ResponseWriter, _ *http.Request) {
+		resyncs.Add(1)
+		w.Write(ckpt.Bytes())
+	})
+	src := httptest.NewServer(mux)
+	defer src.Close()
+
+	node, err := NewNode("f", t.TempDir(), serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	ts := httptest.NewServer(node)
+	defer ts.Close()
+	if err := node.Follow(spec.ID, src.URL); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(30 * time.Second)
+	for reads := 0; reads < 200 || resyncs.Load() < 50; reads++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d reads and %d resyncs before the deadline", reads, resyncs.Load())
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + spec.ID + "/consensus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap serve.Snapshot
+		err = json.NewDecoder(resp.Body).Decode(&snap)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("replica read: status %d, decode error %v", resp.StatusCode, err)
+		}
 	}
 }

@@ -427,6 +427,15 @@ func (fo *follower) resync(baseBytes int64) error {
 	return nil
 }
 
+// snapshot returns the replica's latest applied snapshot. Resync and
+// restage swap the replay under fo.mu, so the pointer is read under it too.
+func (fo *follower) snapshot() *serve.Snapshot {
+	fo.mu.Lock()
+	ap := fo.ap
+	fo.mu.Unlock()
+	return ap.Snapshot()
+}
+
 // shutdown stops the tail loop and closes the staged journal file.
 func (fo *follower) shutdown() {
 	fo.stopOnce.Do(func() { close(fo.stop) })

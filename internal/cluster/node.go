@@ -295,7 +295,7 @@ func (n *Node) handleConsensus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("job %q: not found", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, fo.ap.Snapshot())
+	writeJSON(w, http.StatusOK, fo.snapshot())
 }
 
 // NodeStats is the node /statsz shape: the owned jobs' serving stats plus

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,6 +14,7 @@ import (
 	"cpa/internal/answers"
 	"cpa/internal/capacity"
 	"cpa/internal/core"
+	"cpa/internal/obs"
 	"cpa/internal/serve"
 )
 
@@ -108,12 +108,12 @@ type CapacityRung struct {
 	// Setting is the knob value in its natural units (goroutines, answers
 	// per mini-batch, concurrent clients); N is the same point in the
 	// dimension's USL load units (Setting / Unit).
-	Setting       int         `json:"setting"`
-	N             float64     `json:"n"`
-	Answers       int         `json:"answers"`
-	DurationSec   float64     `json:"duration_seconds"`
-	AnswersPerSec float64     `json:"answers_per_second"`
-	Ingest        HistSummary `json:"ingest_latency"`
+	Setting       int             `json:"setting"`
+	N             float64         `json:"n"`
+	Answers       int             `json:"answers"`
+	DurationSec   float64         `json:"duration_seconds"`
+	AnswersPerSec float64         `json:"answers_per_second"`
+	Ingest        obs.HistSummary `json:"ingest_latency"`
 }
 
 // CapacityDimension is one swept knob: its measured ladder and the USL
@@ -497,25 +497,10 @@ func (r *capRunner) checkTunedArm(tp *tenantPlan, startModel core.Config, ab *Au
 	}
 }
 
-// sameSnapshot compares two served snapshots bit for bit.
-func sameSnapshot(want, got *serve.Snapshot) error {
-	if want == nil || got == nil {
-		return fmt.Errorf("missing snapshot (pre=%v post=%v)", want != nil, got != nil)
-	}
-	if want.Round != got.Round || want.Answers != got.Answers {
-		return fmt.Errorf("recovered round %d/%d answers, want %d/%d",
-			got.Round, got.Answers, want.Round, want.Answers)
-	}
-	if !reflect.DeepEqual(want.Consensus, got.Consensus) {
-		return fmt.Errorf("recovered consensus differs from pre-crash snapshot")
-	}
-	return nil
-}
-
 type rungResult struct {
 	answers int
 	dur     time.Duration
-	ingest  HistSummary
+	ingest  obs.HistSummary
 }
 
 // runSetting measures one rung in a fresh per-rung directory, removed after.
@@ -560,7 +545,7 @@ func (r *capRunner) runSettingAt(sc Scenario, tp *tenantPlan, model core.Config,
 	}
 
 	var done int64
-	pass := func(h *hist) error {
+	pass := func(h *lockedHist) error {
 		if err := ingestPass(job, tp.stream, sc.chunk(), clients, h); err != nil {
 			return err
 		}
@@ -572,7 +557,7 @@ func (r *capRunner) runSettingAt(sc Scenario, tp *tenantPlan, model core.Config,
 			return nil, err
 		}
 	}
-	h := &hist{}
+	h := &lockedHist{}
 	start := time.Now()
 	for p := 0; p < measured; p++ {
 		if err := pass(h); err != nil {
@@ -607,7 +592,7 @@ func (r *capRunner) runSettingAt(sc Scenario, tp *tenantPlan, model core.Config,
 // counts interleave the arrival order — legal by construction (the journal
 // records whatever order was acked, and every invariant holds for every
 // legal order).
-func ingestPass(job *serve.Job, stream []answers.Answer, chunk, clients int, h *hist) error {
+func ingestPass(job *serve.Job, stream []answers.Answer, chunk, clients int, h *lockedHist) error {
 	if clients < 1 {
 		clients = 1
 	}

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"reflect"
 	"time"
 
 	"cpa/internal/answers"
@@ -465,7 +464,7 @@ func (r *clusterRunner) finalInvariants() {
 		var fsnap serve.Snapshot
 		err := r.routerGet("/v1/jobs/"+r.jobID+"/consensus?replica="+f, &fsnap)
 		if err == nil {
-			err = sameServedSnapshot(&snap, &fsnap)
+			err = sameSnapshot(&snap, &fsnap)
 		}
 		r.addInvariant("follower-bit-identical", err,
 			fmt.Sprintf("replica %s serves the owner snapshot exactly", f))
@@ -490,17 +489,4 @@ func (r *clusterRunner) finalInvariants() {
 	} else {
 		r.skipInvariant("deposed-primary-fenced", "failover scenario: the old primary is dead, not deposed")
 	}
-}
-
-// sameServedSnapshot compares two served snapshots bit-for-bit, CreatedAt
-// excluded (it is stamped per process).
-func sameServedSnapshot(want, got *serve.Snapshot) error {
-	if got.Round != want.Round || got.Answers != want.Answers {
-		return fmt.Errorf("snapshot at round=%d answers=%d, want round=%d answers=%d",
-			got.Round, got.Answers, want.Round, want.Answers)
-	}
-	if !reflect.DeepEqual(got.Consensus, want.Consensus) {
-		return fmt.Errorf("consensus diverged from the owner's snapshot")
-	}
-	return nil
 }

@@ -3,130 +3,37 @@ package loadgen
 import (
 	"sync"
 	"time"
+
+	"cpa/internal/obs"
 )
 
-// histBase is the upper bound of the first latency bucket; each subsequent
-// bucket doubles it, so 32 buckets span 50µs … ~30h.
-const (
-	histBase    = 50 * time.Microsecond
-	histBuckets = 32
-)
-
-// hist is a log₂-bucketed latency histogram. Safe for concurrent use (the
-// background readers record into one while the sender records into another,
-// but sharing is allowed).
-type hist struct {
-	mu     sync.Mutex
-	counts [histBuckets]int64
-	n      int64
-	sum    time.Duration
-	max    time.Duration
+// lockedHist is an obs.Hist behind its owner's lock: the sender records
+// into one while the background readers record into another, and a
+// capacity pass records from every client goroutine.
+type lockedHist struct {
+	mu sync.Mutex
+	h  obs.Hist
 }
 
-func (h *hist) observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	b := 0
-	for bound := histBase; b < histBuckets-1 && d > bound; bound *= 2 {
-		b++
-	}
-	h.mu.Lock()
-	h.counts[b]++
-	h.n++
-	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
-	h.mu.Unlock()
+func (l *lockedHist) observe(d time.Duration) {
+	l.mu.Lock()
+	l.h.Observe(d)
+	l.mu.Unlock()
 }
 
-// quantileLocked returns an estimate of the q-quantile (0 < q < 1) by
-// locating the covering bucket and taking its geometric interior point.
-// Callers hold h.mu.
-func (h *hist) quantileLocked(q float64) time.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	target := int64(q * float64(h.n))
-	if target >= h.n {
-		target = h.n - 1
-	}
-	var seen int64
-	for b := 0; b < histBuckets; b++ {
-		seen += h.counts[b]
-		if seen > target {
-			upper := histBase << uint(b)
-			if upper > h.max {
-				upper = h.max
-			}
-			lower := time.Duration(0)
-			if b > 0 {
-				lower = histBase << uint(b-1)
-			}
-			return lower + (upper-lower)/2
-		}
-	}
-	return h.max
-}
-
-// HistSummary is the JSON-ready digest of a latency histogram.
-type HistSummary struct {
-	Count  int64   `json:"count"`
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P90Ms  float64 `json:"p90_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	MaxMs  float64 `json:"max_ms"`
-}
-
-func (h *hist) summary() HistSummary {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.summaryLocked()
-}
-
-func (h *hist) summaryLocked() HistSummary {
-	s := HistSummary{Count: h.n, MaxMs: ms(h.max)}
-	if h.n > 0 {
-		s.MeanMs = ms(h.sum / time.Duration(h.n))
-		s.P50Ms = ms(h.quantileLocked(0.50))
-		s.P90Ms = ms(h.quantileLocked(0.90))
-		s.P99Ms = ms(h.quantileLocked(0.99))
-	}
-	return s
+func (l *lockedHist) summary() obs.HistSummary {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.h.Summary()
 }
 
 // resetSummary clears the histogram (phase boundaries) and returns the
 // summary of what it held, under one critical section so a concurrent
 // observe lands wholly in one phase or the next, never in neither.
-func (h *hist) resetSummary() HistSummary {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	s := h.summaryLocked()
-	h.counts = [histBuckets]int64{}
-	h.n, h.sum, h.max = 0, 0, 0
+func (l *lockedHist) resetSummary() obs.HistSummary {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s := l.h.Summary()
+	l.h = obs.Hist{}
 	return s
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// summaryFromCounts digests externally collected log₂ bucket counters into
-// a HistSummary. The serve layer exports its publish-latency histogram in
-// the same bucket family (50µs base, doubling — serve.PublishStats), so a
-// phase report can diff the cumulative counters at the phase boundaries and
-// summarise the difference here. Buckets beyond histBuckets fold into the
-// last bucket; max is whatever the caller can attribute to the window.
-func summaryFromCounts(counts []int64, n int64, sum, max time.Duration) HistSummary {
-	h := hist{n: n, sum: sum, max: max}
-	for b, c := range counts {
-		if c < 0 {
-			c = 0 // counter reset (chaos restart) mid-window
-		}
-		if b >= histBuckets {
-			b = histBuckets - 1
-		}
-		h.counts[b] += c
-	}
-	return h.summaryLocked()
 }

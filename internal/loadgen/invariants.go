@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 
 	"cpa/internal/answers"
@@ -149,6 +150,22 @@ func checkAckedDurable(journaled, acked []answers.Answer, skipped int64) error {
 			return fmt.Errorf("position %d: journal has (item %d, worker %d, %v), client acked (item %d, worker %d, %v)",
 				i, j.Item, j.Worker, j.Labels, a.Item, a.Worker, a.Labels)
 		}
+	}
+	return nil
+}
+
+// sameSnapshot compares two served snapshots bit for bit: round, answer
+// count and consensus. CreatedAt is stamped per process and not compared.
+func sameSnapshot(want, got *serve.Snapshot) error {
+	if want == nil || got == nil {
+		return fmt.Errorf("missing snapshot (want=%v got=%v)", want != nil, got != nil)
+	}
+	if got.Round != want.Round || got.Answers != want.Answers {
+		return fmt.Errorf("snapshot at round %d / %d answers, want round %d / %d answers",
+			got.Round, got.Answers, want.Round, want.Answers)
+	}
+	if !reflect.DeepEqual(want.Consensus, got.Consensus) {
+		return fmt.Errorf("consensus differs from the reference snapshot")
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"cpa/internal/obs"
 	"cpa/internal/serve"
 )
 
@@ -40,20 +41,20 @@ type TenantPhasePR struct {
 
 // PhaseStats aggregates one phase of the run.
 type PhaseStats struct {
-	Name          string      `json:"name"`
-	Answers       int         `json:"answers"`
-	Requests      int64       `json:"requests"`
-	DurationSec   float64     `json:"duration_seconds"`
-	AnswersPerSec float64     `json:"answers_per_second"`
-	Ingest        HistSummary `json:"ingest_latency"`
-	Reads         HistSummary `json:"read_latency"`
+	Name          string          `json:"name"`
+	Answers       int             `json:"answers"`
+	Requests      int64           `json:"requests"`
+	DurationSec   float64         `json:"duration_seconds"`
+	AnswersPerSec float64         `json:"answers_per_second"`
+	Ingest        obs.HistSummary `json:"ingest_latency"`
+	Reads         obs.HistSummary `json:"read_latency"`
 	// Publish summarises the server-side snapshot-publication latencies of
 	// the phase, diffed from the cumulative per-job log₂ bucket counters the
 	// serve layer exports — the behavioural witness that publish cost stays
 	// O(batch) as streams grow (a linear-cost regression shows up here as
 	// bucket drift across phases). MaxMs is the run-wide maximum observed so
 	// far, not a per-phase value (the exported counters are cumulative).
-	Publish HistSummary     `json:"publish_latency"`
+	Publish obs.HistSummary `json:"publish_latency"`
 	PR      []TenantPhasePR `json:"pr"`
 }
 
@@ -92,7 +93,7 @@ type TenantReport struct {
 // The latency-histogram fields are one family across all of them: the
 // per-phase ingest_latency / read_latency / publish_latency summaries here
 // and the per-rung ingest_latency of a capacity row are the same
-// HistSummary shape, and a capacity row's usl_fit (gamma / alpha / beta /
+// obs.HistSummary shape, and a capacity row's usl_fit (gamma / alpha / beta /
 // knee / residual per swept dimension) plus its auto_tune A/B block are
 // the capacity-side additions to the schema — see CapacityReport.
 type Report struct {

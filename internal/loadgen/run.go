@@ -18,6 +18,7 @@ import (
 	"cpa/internal/core"
 	"cpa/internal/labelset"
 	"cpa/internal/metrics"
+	"cpa/internal/obs"
 	"cpa/internal/serve"
 )
 
@@ -163,11 +164,11 @@ type runner struct {
 	srv        *httptest.Server
 	baseURL    atomic.Value // string; swapped across chaos restarts
 
-	ingest hist
-	reads  hist
+	ingest lockedHist
+	reads  lockedHist
 	// pubMark is the cumulative publish-latency baseline at the current
 	// phase's start, summed over tenants (diffed at the phase boundary).
-	pubMark pubTotals
+	pubMark obs.Hist
 
 	requests    atomic.Int64
 	rejected429 atomic.Int64
@@ -355,7 +356,10 @@ func (r *runner) runPhase(pi int) error {
 	}
 	ps.Ingest = r.ingest.resetSummary()
 	ps.Reads = r.reads.resetSummary()
-	ps.Publish = r.collectPublishTotals().since(r.pubMark)
+	// Chaos restarts reset the server-side counters; Since clamps them.
+	totals := r.collectPublishTotals()
+	pubs := totals.Since(&r.pubMark)
+	ps.Publish = pubs.Summary()
 	r.report.Phases = append(r.report.Phases, ps)
 	r.cfg.Logf("phase %q: %d answers, %d requests, %.2fs", phase, sent, ps.Requests, ps.DurationSec)
 
@@ -468,43 +472,11 @@ func (r *runner) getJSON(url string, v any) (int, error) {
 	return resp.StatusCode, nil
 }
 
-// pubTotals is a cumulative publish-latency counter snapshot summed across
-// tenants, in the serve layer's log₂ bucket family.
-type pubTotals struct {
-	counts []int64
-	n      int64
-	sumNs  int64
-	maxNs  int64
-}
-
-// since summarises the publish latencies accumulated between an earlier
-// snapshot and this one. Chaos restarts reset the server-side counters, so
-// negative diffs clamp to zero; the max carries the later snapshot's value
-// (cumulative, i.e. run-wide so far).
-func (t pubTotals) since(start pubTotals) HistSummary {
-	counts := make([]int64, len(t.counts))
-	copy(counts, t.counts)
-	for b := range start.counts {
-		if b < len(counts) {
-			counts[b] -= start.counts[b]
-		}
-	}
-	n := t.n - start.n
-	sum := t.sumNs - start.sumNs
-	if n < 0 {
-		n = t.n
-	}
-	if sum < 0 {
-		sum = t.sumNs
-	}
-	return summaryFromCounts(counts, n, time.Duration(sum), time.Duration(t.maxNs))
-}
-
 // collectPublishTotals sums every active tenant's cumulative publish
 // histogram (exported in JobStats). Collection errors degrade to an empty
 // snapshot: publish latency is reporting, never a reason to fail a run.
-func (r *runner) collectPublishTotals() pubTotals {
-	var t pubTotals
+func (r *runner) collectPublishTotals() obs.Hist {
+	var t obs.Hist
 	for _, ts := range r.tenants {
 		if !ts.created || ts.deleted {
 			continue
@@ -514,20 +486,8 @@ func (r *runner) collectPublishTotals() pubTotals {
 		if err != nil || status != http.StatusOK {
 			continue
 		}
-		p := stats.Publish
-		if len(t.counts) < len(p.Log2Buckets) {
-			grown := make([]int64, len(p.Log2Buckets))
-			copy(grown, t.counts)
-			t.counts = grown
-		}
-		for b, c := range p.Log2Buckets {
-			t.counts[b] += c
-		}
-		t.n += p.Count
-		t.sumNs += p.SumNs
-		if p.MaxNs > t.maxNs {
-			t.maxNs = p.MaxNs
-		}
+		h := stats.Publish.Hist()
+		t.Add(&h)
 	}
 	return t
 }

@@ -275,7 +275,7 @@ func TestCheckReplayDetectsTamperedSnapshot(t *testing.T) {
 
 // TestHistQuantiles sanity-checks the latency histogram digest.
 func TestHistQuantiles(t *testing.T) {
-	var h hist
+	var h lockedHist
 	for i := 1; i <= 1000; i++ {
 		h.observe(time.Duration(i) * time.Millisecond)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"cpa/internal/answers"
 	"cpa/internal/core"
+	"cpa/internal/obs"
 )
 
 // Job is one tenant's consensus computation: a core.Model advanced by a
@@ -28,9 +29,9 @@ type Job struct {
 	// each behind the mutex. The queue is a head-indexed ring: dequeue
 	// advances head (amortised O(1)) instead of memmoving the tail, which
 	// would be O(depth) per mini-batch and quadratic under a deep backlog.
-	mu      sync.Mutex
-	queue   []answers.Answer
-	head    int
+	mu    sync.Mutex
+	queue []answers.Answer
+	head  int
 	// reserved counts answers sequenced into the commit pipeline but not yet
 	// durable (they join queue in commitDurable). Backpressure counts them:
 	// they are admitted load.
@@ -52,7 +53,8 @@ type Job struct {
 
 	snap     atomic.Pointer[Snapshot]
 	snapTime atomic.Int64 // unixnano of the last publication
-	pubHist  publishHist  // publish-latency histogram (log₂ buckets)
+	pubMu    sync.Mutex   // guards pubHist: the fitter writes, Stats reads
+	pubHist  obs.Hist     // publish-latency histogram
 	// ingestHist aggregates group-commit observability (cohort sizes,
 	// append→durable latency); the journal's commit leader feeds it.
 	ingestHist ingestHist
@@ -281,6 +283,9 @@ func (j *Job) Stats() JobStats {
 	}
 	epoch := j.epoch
 	j.mu.Unlock()
+	j.pubMu.Lock()
+	publish := j.pubHist.Export()
+	j.pubMu.Unlock()
 	snap := j.snap.Load()
 	st := JobStats{
 		ID:                   j.spec.ID,
@@ -295,7 +300,7 @@ func (j *Job) Stats() JobStats {
 		SnapshotAgeSec:       time.Since(time.Unix(0, j.snapTime.Load())).Seconds(),
 		EffectiveCommunities: snap.EffectiveCommunities,
 		EffectiveClusters:    snap.EffectiveClusters,
-		Publish:              j.pubHist.summary(),
+		Publish:              publish,
 		Ingest:               j.ingestHist.summary(),
 		JournalBytes:         jb,
 		JournalRecords:       jr,
@@ -457,61 +462,10 @@ type JobStats struct {
 	Error      string             `json:"error,omitempty"`
 }
 
-// publishBuckets is the log₂ bucket count of the publish-latency histogram;
-// publishBase the upper bound of the first bucket. The family matches
-// loadgen's latency histograms (50µs base, doubling), so soak reports can
-// diff the exported counters phase over phase.
-const (
-	publishBuckets = 32
-	publishBase    = 50 * time.Microsecond
-)
-
-// PublishStats is the JSON-ready cumulative publish-latency histogram.
-type PublishStats struct {
-	Count int64 `json:"count"`
-	SumNs int64 `json:"sum_ns"`
-	MaxNs int64 `json:"max_ns"`
-	// Log2Buckets counts publications per latency bucket: bucket b covers
-	// (50µs·2^(b-1), 50µs·2^b], with bucket 0 covering (0, 50µs].
-	Log2Buckets []int64 `json:"log2_buckets"`
-}
-
-// publishHist accumulates publish latencies. The fitter is the only writer;
-// Stats readers are concurrent, so a small mutex guards the counters (one
-// lock per round and per /statsz hit — nowhere near a hot path).
-type publishHist struct {
-	mu     sync.Mutex
-	counts [publishBuckets]int64
-	n      int64
-	sumNs  int64
-	maxNs  int64
-}
-
-func (h *publishHist) observe(d time.Duration) {
-	b := 0
-	for bound := publishBase; b < publishBuckets-1 && d > bound; bound *= 2 {
-		b++
-	}
-	h.mu.Lock()
-	h.counts[b]++
-	h.n++
-	h.sumNs += int64(d)
-	if int64(d) > h.maxNs {
-		h.maxNs = int64(d)
-	}
-	h.mu.Unlock()
-}
-
-func (h *publishHist) summary() PublishStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return PublishStats{
-		Count:       h.n,
-		SumNs:       h.sumNs,
-		MaxNs:       h.maxNs,
-		Log2Buckets: append([]int64(nil), h.counts[:]...),
-	}
-}
+// PublishStats is the JSON-ready cumulative publish-latency histogram, in
+// the log₂ family of internal/obs that loadgen's client-side histograms
+// share, so soak reports can diff the exported counters phase over phase.
+type PublishStats = obs.Export
 
 // cohortBuckets is the log₂ bucket count of the cohort-size histogram;
 // 2^15 records in one commit is far past any realistic coalescing run.
@@ -541,10 +495,7 @@ type IngestStats struct {
 // journal and job lock; /statsz readers are concurrent.
 type ingestHist struct {
 	mu      sync.Mutex
-	appends [publishBuckets]int64
-	n       int64
-	sumNs   int64
-	maxNs   int64
+	appends obs.Hist
 	cohorts [cohortBuckets]int64
 	ncoh    int64
 	recs    int64
@@ -567,17 +518,7 @@ func (h *ingestHist) observe(cohort []*commitReq, nrecs int64) {
 		h.maxRecs = nrecs
 	}
 	for _, r := range cohort {
-		d := now.Sub(r.t0)
-		b := 0
-		for bound := publishBase; b < publishBuckets-1 && d > bound; bound *= 2 {
-			b++
-		}
-		h.appends[b]++
-		h.n++
-		h.sumNs += int64(d)
-		if int64(d) > h.maxNs {
-			h.maxNs = int64(d)
-		}
+		h.appends.Observe(now.Sub(r.t0))
 	}
 	h.mu.Unlock()
 }
@@ -586,12 +527,7 @@ func (h *ingestHist) summary() IngestStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return IngestStats{
-		Appends: PublishStats{
-			Count:       h.n,
-			SumNs:       h.sumNs,
-			MaxNs:       h.maxNs,
-			Log2Buckets: append([]int64(nil), h.appends[:]...),
-		},
+		Appends:           h.appends.Export(),
 		Cohorts:           h.ncoh,
 		CohortRecords:     h.recs,
 		MaxCohortRecords:  h.maxRecs,
@@ -624,13 +560,22 @@ func (j *Job) Close() error {
 			err = j.truncateJournal()
 		}
 	}
-	if j.journal != nil {
-		if cerr := j.journal.Close(); err == nil {
+	if jr := j.detachJournal(); jr != nil {
+		if cerr := jr.Close(); err == nil {
 			err = cerr
 		}
-		j.journal = nil
 	}
 	return err
+}
+
+// detachJournal unhooks the journal under mu, where stats and journal-tail
+// readers look it up, and returns it for the caller to close.
+func (j *Job) detachJournal() *journal {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	jr := j.journal
+	j.journal = nil
+	return jr
 }
 
 // crash simulates a hard kill for recovery tests: the fitter stops without
@@ -647,9 +592,8 @@ func (j *Job) crash() {
 	j.mu.Unlock()
 	j.signal()
 	j.wg.Wait()
-	if j.journal != nil {
-		j.journal.closeCrash()
-		j.journal = nil
+	if jr := j.detachJournal(); jr != nil {
+		jr.closeCrash()
 	}
 }
 
@@ -883,7 +827,9 @@ func (j *Job) publish(full bool) error {
 	now := time.Now()
 	j.snap.Store(nextSnapshot(j.spec.ID, j.snap.Load(), view, dirty, now))
 	j.snapTime.Store(now.UnixNano())
-	j.pubHist.observe(time.Since(start))
+	j.pubMu.Lock()
+	j.pubHist.Observe(time.Since(start))
+	j.pubMu.Unlock()
 	if j.traj != nil {
 		j.traj.maybeRecord(int64(j.model.BatchRounds()), j.model)
 	}
