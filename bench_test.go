@@ -209,10 +209,10 @@ func BenchmarkPublish(b *testing.B) {
 	}
 }
 
-// BenchmarkPublishFull is the caught-up (and pre-refactor) publication
-// path: the complete FinalizeOnline pipeline per round on the reusable
-// clone. O(stream) per round by construction — the comparison point that
-// shows what the incremental mode saves.
+// BenchmarkPublishFull is the caught-up publication path: a Clone plus the
+// complete FinalizeOnline pipeline per round. O(stream) per round by
+// construction — the comparison point that shows what the incremental mode
+// saves.
 func BenchmarkPublishFull(b *testing.B) {
 	for _, mul := range []int{1, 10} {
 		b.Run(fmt.Sprintf("stream=%dx", mul), func(b *testing.B) {
@@ -221,26 +221,6 @@ func BenchmarkPublishFull(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := pub.Publish(true); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPublishLegacy is the seed-era publish: a fresh deep
-// Clone + FinalizeOnline + ConsensusView every round, no reusable engine —
-// kept as the before/after baseline for the snapshot-engine refactor.
-func BenchmarkPublishLegacy(b *testing.B) {
-	for _, mul := range []int{1, 10} {
-		b.Run(fmt.Sprintf("stream=%dx", mul), func(b *testing.B) {
-			model, _, _ := publishBenchSetup(b, mul)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				clone := model.Clone()
-				clone.FinalizeOnline()
-				if _, err := clone.ConsensusView(); err != nil {
 					b.Fatal(err)
 				}
 			}

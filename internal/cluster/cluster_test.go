@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"sync/atomic"
@@ -584,5 +586,105 @@ func TestReplicaReadDuringResync(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || err != nil {
 			t.Fatalf("replica read: status %d, decode error %v", resp.StatusCode, err)
 		}
+	}
+}
+
+// TestFollowerKeepsStagingWhenSourceJobCloses crashes the primary's jobs
+// while its HTTP server keeps serving, so the follower's next tail request
+// meets a job whose journal is detached. That is a transient outage (the
+// router decides what happens next), not a source behind the follower: the
+// follower's applied offset and staged journal must survive the round trip
+// intact, or a failover would promote an empty replica.
+func TestFollowerKeepsStagingWhenSourceJobCloses(t *testing.T) {
+	tc := newTestCluster(t, []ShardSpec{{Primary: "a", Followers: []string{"b"}}})
+	ds := testDataset(t, 0.02, 37)
+	tc.createJob("cl", ds, 37)
+	all := ds.Answers()
+	for start := 0; start < len(all)/2; start += 48 {
+		tc.mustSend("cl", all[start:min(start+48, len(all)/2)])
+	}
+	tc.quiesce("cl")
+
+	b := tc.nodes["b"]
+	replica := func() ReplicaStats {
+		t.Helper()
+		var st ReplicaStats
+		if err := getJSON(tc.client, b.ts.URL+"/v1/replicate/cl", &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	// waitFor polls the replica until cond holds, so the assertions below
+	// see the state after a completed tail round trip.
+	waitFor := func(what string, cond func(ReplicaStats) bool) ReplicaStats {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			st := replica()
+			if cond(st) {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replica never %s: %+v", what, st)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	before := waitFor("settled", func(st ReplicaStats) bool { return st.Error == "" })
+	if before.AppliedBytes == 0 {
+		t.Fatal("follower applied nothing before the crash")
+	}
+	journalPath := filepath.Join(b.node.replicaDir("cl"), serve.JournalFileName)
+	staged, err := os.ReadFile(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tc.nodes["a"].node.Registry().CrashAll()
+	after := waitFor("saw the closed source", func(st ReplicaStats) bool { return st.Error != "" })
+	if after.AppliedBytes != before.AppliedBytes {
+		t.Fatalf("applied offset %d after the source job closed, want %d (error %q)",
+			after.AppliedBytes, before.AppliedBytes, after.Error)
+	}
+	got, err := os.ReadFile(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, staged) {
+		t.Fatalf("staged journal changed after the source job closed: %d bytes, want %d", len(got), len(staged))
+	}
+}
+
+// TestFetchCheckpointHangupLeavesNoCheckpoint stages a promotion checkpoint
+// from a source that hangs up mid-body. The fetch must fail and leave no
+// model.gob behind: adoption prefers model.gob over the journal, so a torn
+// one would break the promoted job's recovery.
+func TestFetchCheckpointHangupLeavesNoCheckpoint(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/{id}/checkpoint", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Length", strconv.Itoa(2<<16))
+		w.WriteHeader(http.StatusOK)
+		w.Write(make([]byte, 1<<16))
+		http.NewResponseController(w).Flush()
+		panic(http.ErrAbortHandler) // drop the connection mid-body
+	})
+	src := httptest.NewServer(mux)
+	defer src.Close()
+
+	node, err := NewNode("f", t.TempDir(), serve.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	fo := &follower{source: src.URL, dir: t.TempDir()}
+	if err := node.fetchCheckpoint(fo, "torn"); err == nil {
+		t.Fatal("fetchCheckpoint succeeded on a truncated download")
+	}
+	entries, err := os.ReadDir(fo.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("staging holds %s after a failed checkpoint download", e.Name())
 	}
 }

@@ -195,7 +195,7 @@ func (fo *follower) stageFresh() error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(fo.dir, serve.SpecFileName), rawSpec, 0o644); err != nil {
+	if err := serve.WriteFileAtomic(filepath.Join(fo.dir, serve.SpecFileName), bytes.NewReader(rawSpec)); err != nil {
 		return fmt.Errorf("cluster: staging spec: %w", err)
 	}
 	// Stage the directory deposed: if the node crashes with the staging
@@ -259,7 +259,9 @@ func (fo *follower) globalShipped() int64 { return fo.base.Bytes + fo.shipped - 
 // persists whatever arrives, and applies the complete lines. A 410 response
 // (the requested offset predates the source's compacted journal) triggers
 // the resync handshake; a from-beyond-durable rejection (the staged offset
-// overruns a re-pointed, less advanced source) restages from scratch.
+// overruns a re-pointed, less advanced source) restages from scratch. A
+// source job that is closed or crashed answers 503, which is retried like
+// any other outage: the staging stays intact for promotion.
 func (fo *follower) shipOnce(waitMS int) error {
 	fo.mu.Lock()
 	from := fo.globalShipped()
@@ -383,20 +385,8 @@ func (fo *follower) resync(baseBytes int64) error {
 		return readAPIError(resp)
 	}
 	basePath := filepath.Join(fo.dir, serve.BaseCheckpointFileName)
-	tmp := basePath + ".tmp"
-	bf, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := bf.ReadFrom(resp.Body); err != nil {
-		bf.Close()
+	if err := serve.WriteFileAtomic(basePath, resp.Body); err != nil {
 		return fmt.Errorf("cluster: staging base checkpoint: %w", err)
-	}
-	if err := bf.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, basePath); err != nil {
-		return err
 	}
 	sf, err := os.Open(basePath)
 	if err != nil {

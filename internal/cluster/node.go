@@ -190,7 +190,8 @@ func (n *Node) PromoteReplica(jobID string, epoch, minBytes int64, fetchCheckpoi
 
 // fetchCheckpoint pulls the source's latest model checkpoint into the
 // staging dir. A source without a checkpoint yet (404) is fine — adoption
-// replays the journal from scratch.
+// replays the journal from scratch. The file lands atomically: adoption
+// prefers model.gob, so a download that dies mid-body must leave none.
 func (n *Node) fetchCheckpoint(fo *follower, jobID string) error {
 	resp, err := n.client.Get(fo.source + "/v1/jobs/" + jobID + "/checkpoint")
 	if err != nil {
@@ -203,15 +204,10 @@ func (n *Node) fetchCheckpoint(fo *follower, jobID string) error {
 	if resp.StatusCode != http.StatusOK {
 		return readAPIError(resp)
 	}
-	f, err := os.Create(filepath.Join(fo.dir, serve.CheckpointFileName))
-	if err != nil {
-		return err
-	}
-	if _, err := f.ReadFrom(resp.Body); err != nil {
-		f.Close()
+	if err := serve.WriteFileAtomic(filepath.Join(fo.dir, serve.CheckpointFileName), resp.Body); err != nil {
 		return fmt.Errorf("cluster: staging checkpoint: %w", err)
 	}
-	return f.Close()
+	return nil
 }
 
 // ---------------------------------------------------------------------------

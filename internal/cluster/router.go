@@ -29,6 +29,8 @@ import (
 //     target to the final journal offset and promotes — the gate holds
 //     client writes (briefly) instead of failing them.
 //
+// Routes:
+//
 //	POST /v1/jobs                       create (placed by rendezvous hashing)
 //	POST /v1/jobs/{id}/answers          ingest via the shard primary
 //	GET  /v1/jobs/{id}                  stats from the primary
@@ -479,10 +481,11 @@ func (rt *Router) FailoverJob(id string) error {
 	rt.mu.Unlock()
 
 	// Surviving followers were tailing the dead node; restart them against
-	// the new primary (their journal is a prefix of the new primary's, but
-	// resumption is from scratch — correctness first). Best effort: a
-	// follower that cannot re-point just stays behind and fails barrier
-	// checks until an operator intervenes.
+	// the new primary. Their staged journal is a prefix of the new
+	// primary's, so each resumes shipping from its own offset instead of
+	// byte 0 (startFollower). Best effort: a follower that cannot re-point
+	// just stays behind and fails barrier checks until an operator
+	// intervenes.
 	for _, f := range rest {
 		if fURL, err := rt.nodeURL(f); err == nil {
 			_ = postJSON(rt.client, fURL+"/v1/replicate/"+id, replicateRequest{Source: winnerURL}, nil)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"cpa/internal/labelset"
@@ -10,16 +9,12 @@ import (
 )
 
 // Publisher is the snapshot engine behind serve's per-round consensus
-// publication (DESIGN.md §8). It owns a reusable finalize-clone of the live
-// model — synchronised each round in O(items + workers + parameters), with
-// the chunked answer index shared structurally (chunks.go) — and supports
-// two publication modes:
+// publication (DESIGN.md §8). It supports two publication modes:
 //
 //   - Full: the complete online-prediction pipeline of §4.1 — FinalizeOnline
 //     (global κ/ϕ refresh plus the reliability/imputation fixed point)
-//     followed by ConsensusView. Bit-identical to the legacy
-//     Clone()+FinalizeOnline()+ConsensusView() path, at a fraction of its
-//     allocation cost, but still O(total answers) per round.
+//     followed by ConsensusView — on a Clone of the live model, finalized
+//     at the Publisher's pinned Parallelism. O(total answers) per round.
 //   - Incremental: only items dirtied since the last publication (touched
 //     by a PartialFit batch) plus a bounded round-robin sweep are
 //     republished, straight from the live model's current state — the ϕ row
@@ -41,9 +36,28 @@ import (
 // A Publisher must be driven from the goroutine that owns the model (the
 // fitter); the views it returns are immutable and safe to share.
 type Publisher struct {
-	src   *Model
-	clone *Model
-	view  *ConsensusView
+	src  *Model
+	view *ConsensusView
+
+	// par is the Parallelism every full publication finalizes at: the
+	// model's when the Publisher was built. The finalize pass is not
+	// Parallelism-invariant, and journal replay ignores tune annotations,
+	// so a live job, its recovery and its followers reproduce each other's
+	// bits only if all of them finalize at this one value, whatever an
+	// auto-tuner later sets on the live model.
+	par int
+
+	// panels and prod are the score-panel and product-panel caches lent to
+	// each finalize clone, so a full publication refills the panel buffers
+	// and slot maps of earlier rounds instead of allocating them afresh.
+	// Both are keyed by the set ids of intern, the live interner they were
+	// built against. gen is the last expectation generation a clone
+	// reached: the next clone starts past it, so a panel built for an
+	// earlier clone is never served.
+	panels panelCache
+	prod   prodCache
+	intern *labelset.Interner
+	gen    uint64
 
 	// cursor is the round-robin sweep position: each incremental round also
 	// refreshes up to |dirty| untouched items so consensus staleness from
@@ -57,8 +71,11 @@ type Publisher struct {
 	preds    []labelset.Set
 }
 
-// NewPublisher returns a snapshot engine for the given live model.
-func NewPublisher(m *Model) *Publisher { return &Publisher{src: m} }
+// NewPublisher returns a snapshot engine for the given live model, pinned
+// to the model's current Parallelism for full publications.
+func NewPublisher(m *Model) *Publisher {
+	return &Publisher{src: m, par: m.cfg.Parallelism}
+}
 
 // View returns the most recently published view (nil before the first
 // Publish).
@@ -123,125 +140,27 @@ func (p *Publisher) addSweep(dirty []int) []int {
 	return dirty
 }
 
-// ensureClone lazily allocates the reusable finalize-clone: a model-shaped
-// shell whose buffers are refilled by syncPublishState each round.
-func (p *Publisher) ensureClone() {
-	if p.clone != nil {
-		return
-	}
-	m := p.src
-	c := &Model{
-		cfg:        m.cfg,
-		numItems:   m.numItems,
-		numWorkers: m.numWorkers,
-		numLabels:  m.numLabels,
-		M:          m.M,
-		T:          m.T,
-		rng:        rand.New(rand.NewSource(m.cfg.Seed)),
-		temp:       1,
-	}
-	c.allocate()
-	p.clone = c
-}
-
-// syncIntern points the clone at the live model's interner. The table is
-// append-only with stable ids and both models are driven from the fitter
-// goroutine, so sharing is safe and keeps the clone's shared answer refs
-// (whose set ids index the live table) resolvable. A window compaction
-// (maybeCompactWindow) replaces the live interner wholesale, renumbering
-// every set — when that happens, the clone's id-keyed caches must be
-// dropped: their cached ids would index a table they were never built
-// against.
-func (p *Publisher) syncIntern() {
-	if p.clone.intern != p.src.intern {
-		p.clone.panels = panelCache{disabled: p.clone.panels.disabled}
-		p.clone.ws.prod = prodCache{buf: p.clone.ws.prod.buf}
-	}
-	p.clone.intern = p.src.intern
-	p.clone.panels.disabled = p.src.panels.disabled
-}
-
-// syncPublishState refills the clone from the live model: parameters and
-// per-item mutable state are copied into the clone's retained buffers, the
-// answer index is shared structurally. Cost is O(items + workers +
-// parameters) — nothing scales with the number of ingested answers.
-func (c *Model) syncPublishState(src *Model) {
-	for u := range src.perWorker {
-		c.perWorker[u] = src.perWorker[u].shareClone()
-	}
-	for i := range src.perItem {
-		c.perItem[i] = src.perItem[i].shareClone()
-	}
-	c.arrival = src.arrival[:len(src.arrival):len(src.arrival)]
-	c.numAns, c.totalAns = src.numAns, src.totalAns
-	c.seenWorkers, c.seenItems = src.seenWorkers, src.seenItems
-	copy(c.revealedTruth, src.revealedTruth) // inner slices are rebind-only
-	c.kappa.CopyFrom(src.kappa)
-	c.phi.CopyFrom(src.phi)
-	c.lambda.CopyFrom(src.lambda)
-	c.zeta.CopyFrom(src.zeta)
-	copy(c.rho1, src.rho1)
-	copy(c.rho2, src.rho2)
-	copy(c.ups1, src.ups1)
-	copy(c.ups2, src.ups2)
-	copy(c.elogPi, src.elogPi)
-	copy(c.elogTau, src.elogTau)
-	c.elogPsi.CopyFrom(src.elogPsi)
-	c.elogPhi.CopyFrom(src.elogPhi)
-	copy(c.votedList, src.votedList) // inner slices are rebind-only
-	for i := range src.yhatVals {
-		// ŷ is mutated in place by imputation: copy into retained buffers.
-		c.yhatVals[i] = append(c.yhatVals[i][:0], src.yhatVals[i]...)
-	}
-	copy(c.relm, src.relm)
-	copy(c.workerRelW, src.workerRelW)
-	copy(c.tprM, src.tprM)
-	copy(c.fprM, src.fprM)
-	copy(c.tpNumU, src.tpNumU)
-	copy(c.tpDenU, src.tpDenU)
-	copy(c.fpNumU, src.fpNumU)
-	copy(c.fpDenU, src.fpDenU)
-	copy(c.voteLW, src.voteLW)
-	copy(c.missLW, src.missLW)
-	copy(c.labelPrev, src.labelPrev)
-	if src.runTP != nil {
-		if c.runTP == nil {
-			M, C := c.M, c.numLabels
-			c.runTP, c.runTPD = make([]float64, M), make([]float64, M)
-			c.runFP, c.runFPD = make([]float64, M), make([]float64, M)
-			c.runAgree, c.runAgreeD = make([]float64, M), make([]float64, M)
-			c.runPrevN, c.runPrevD = make([]float64, C), make([]float64, C)
-		}
-		copy(c.runTP, src.runTP)
-		copy(c.runTPD, src.runTPD)
-		copy(c.runFP, src.runFP)
-		copy(c.runFPD, src.runFPD)
-		copy(c.runAgree, src.runAgree)
-		copy(c.runAgreeD, src.runAgreeD)
-		copy(c.runPrevN, src.runPrevN)
-		copy(c.runPrevD, src.runPrevD)
-	}
-	// The clone's elogPsi was just replaced wholesale: advance its
-	// expectation generation so any score panels built against the previous
-	// round's copy are invalidated (the generation guard in scorePanel).
-	c.expGen++
-	c.expertCooc = src.expertCooc
-	c.haveRates = src.haveRates
-	c.streamFitted = src.streamFitted
-	c.fitted = src.fitted
-	c.batchIndex = src.batchIndex
-	c.lastBatchDelta = src.lastBatchDelta
-	c.temp = src.temp
-}
-
-// publishFull syncs the clone and runs the legacy finalize pipeline on it.
+// publishFull finalizes a clone of the live model at the pinned
+// Parallelism and publishes its consensus view.
 func (p *Publisher) publishFull() (*ConsensusView, error) {
-	p.ensureClone()
-	p.syncIntern()
-	p.clone.syncPublishState(p.src)
+	c := p.src.Clone()
+	if err := c.Retune(p.par, 0); err != nil {
+		return nil, err
+	}
+	// A window compaction (maybeCompactWindow) replaces the live interner
+	// wholesale, renumbering every set: panels keyed by the old ids must go.
+	if p.intern != p.src.intern {
+		p.panels = panelCache{}
+		p.prod = prodCache{buf: p.prod.buf}
+		p.intern = p.src.intern
+	}
+	p.panels.disabled = p.src.panels.disabled
+	p.gen++
+	c.panels, c.ws.prod, c.expGen = p.panels, p.prod, p.gen
+	c.FinalizeOnline()
+	view, err := c.ConsensusView()
+	p.panels, p.prod, p.gen = c.panels, c.ws.prod, c.expGen
 	p.cursor = 0
-	p.clone.FinalizeOnline()
-	view, err := p.clone.ConsensusView()
 	if err != nil {
 		return nil, err
 	}

@@ -43,11 +43,11 @@ func sameItemConsensus(t testing.TB, round, i int, want, got ItemConsensus) {
 	}
 }
 
-// TestPublishFullMatchesLegacy pins the reusable-clone plumbing: at every
-// round of a long shuffled stream, the publisher's full mode — shared-prefix
-// chunk storage, retained buffers, no per-round deep copy — must be
-// bit-identical to the from-scratch Clone()+FinalizeOnline()+ConsensusView()
-// rebuild the serving layer used before, across Parallelism settings.
+// TestPublishFullMatchesLegacy pins the full-publication plumbing: at every
+// round of a long shuffled stream, the publisher's full mode — a clone
+// finalized with panel caches lent across rounds — must be bit-identical to
+// a plain Clone()+FinalizeOnline()+ConsensusView(), across Parallelism
+// settings.
 func TestPublishFullMatchesLegacy(t *testing.T) {
 	ds := publishStream(t, 21)
 	for _, par := range []int{1, 4} {
@@ -81,6 +81,64 @@ func TestPublishFullMatchesLegacy(t *testing.T) {
 			}
 			if round < 10 {
 				t.Fatalf("stream too short to exercise publication: %d rounds", round)
+			}
+		})
+	}
+}
+
+// TestPublishFullFinalizesAtPinnedParallelism pins the publisher's
+// Parallelism pin: once the live model is retuned mid-stream, every full
+// publication must still equal a clone finalized at the Parallelism the
+// publisher was built with. The finalize pass is not Parallelism-invariant,
+// so the test also requires that finalizing at the tuned value gives other
+// bits at least once; without that it could not tell the two apart.
+func TestPublishFullFinalizesAtPinnedParallelism(t *testing.T) {
+	ds := publishStream(t, 21)
+	for _, tc := range []struct{ pinned, tuned int }{{1, 4}, {4, 1}} {
+		t.Run(fmt.Sprintf("P=%d->%d", tc.pinned, tc.tuned), func(t *testing.T) {
+			cfg := Config{Seed: 21, BatchSize: 64, Parallelism: tc.pinned}
+			model, err := NewModel(cfg, ds.NumItems, ds.NumWorkers, ds.NumLabels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pub := NewPublisher(model)
+			finalizeAt := func(par int) *ConsensusView {
+				c := model.Clone()
+				if err := c.Retune(par, 0); err != nil {
+					t.Fatal(err)
+				}
+				c.FinalizeOnline()
+				v, err := c.ConsensusView()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return v
+			}
+			const retuneRound = 3
+			differed := false
+			for round, b := range ds.Batches(cfg.BatchSize) {
+				if round == retuneRound {
+					if err := model.Retune(tc.tuned, 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := model.PartialFit(b.Answers); err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := pub.Publish(true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameView(t, round, finalizeAt(tc.pinned), got)
+				if round >= retuneRound && !reflect.DeepEqual(finalizeAt(tc.tuned).Items, got.Items) {
+					differed = true
+				}
+			}
+			if got := model.Config().Parallelism; got != tc.tuned {
+				t.Fatalf("live model at Parallelism %d, want the tuned %d", got, tc.tuned)
+			}
+			if !differed {
+				t.Fatalf("finalize at P=%d never differed from P=%d: the stream cannot exercise the pin", tc.tuned, tc.pinned)
 			}
 		})
 	}

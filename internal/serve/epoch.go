@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -77,7 +78,7 @@ func (j *Job) setEpoch(next epochState) error {
 			j.epoch = prev
 			return err
 		}
-		if err := writeFileAtomic(filepath.Join(j.dir, epochFile), raw); err != nil {
+		if err := WriteFileAtomic(filepath.Join(j.dir, epochFile), bytes.NewReader(raw)); err != nil {
 			j.epoch = prev
 			return fmt.Errorf("serve: persisting epoch: %w", err)
 		}
@@ -109,7 +110,7 @@ func WriteEpochState(dir string, epoch int64, deposed bool) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(dir, epochFile), raw)
+	return WriteFileAtomic(filepath.Join(dir, epochFile), bytes.NewReader(raw))
 }
 
 // loadEpochState reads a job directory's persisted epoch record. A missing

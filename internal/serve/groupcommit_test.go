@@ -344,7 +344,6 @@ func TestGroupCommitTruncationRecoversBitExact(t *testing.T) {
 	sameConsensus(t, before, job2.Snapshot())
 }
 
-
 // TestGroupCommitQueueMatchesJournalOrder pins the replay invariant the
 // release chain exists for: with many writers racing through a chain of
 // commit leaders, the fitter queue must receive batches in exactly journal

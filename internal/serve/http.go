@@ -419,15 +419,19 @@ func (s *Server) handleJournalTail(w http.ResponseWriter, r *http.Request) {
 	// to park). A 5ms period bounds added shipping latency well below any
 	// fit round. A base-handshake request never parks: the base header line
 	// itself is servable even when the retained suffix is empty.
-	durable, _ := job.JournalOffsets()
+	durable, err := job.tailOffset()
 	deadline := time.Now().Add(wait)
-	for durable <= from && !includeBase && wait > 0 && time.Now().Before(deadline) {
+	for err == nil && durable <= from && !includeBase && wait > 0 && time.Now().Before(deadline) {
 		select {
 		case <-r.Context().Done():
 			return
 		case <-time.After(5 * time.Millisecond):
 		}
-		durable, _ = job.JournalOffsets()
+		durable, err = job.tailOffset()
+	}
+	if err != nil {
+		httpError(w, err)
+		return
 	}
 	if durable < from {
 		httpError(w, fmt.Errorf("%w: from %d beyond durable offset %d", ErrInvalid, from, durable))

@@ -342,6 +342,20 @@ func (j *Job) JournalOffsets() (bytes, recs int64) {
 	return j.journal.globalOffsets()
 }
 
+// tailOffset returns the durable global byte offset a journal tail reads
+// up to. A closed or crashed job has detached its journal: that is
+// ErrClosed, never an offset of 0, which a follower would take for a
+// source behind its own staged journal.
+func (j *Job) tailOffset() (int64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.journal == nil {
+		return 0, fmt.Errorf("%w: journal detached", ErrClosed)
+	}
+	bytes, _ := j.journal.globalOffsets()
+	return bytes, nil
+}
+
 // journalSection is an openable byte range of the journal file, resolved
 // from global coordinates under the job mutex so a concurrent truncation
 // cannot shift the mapping between the offset check and the open. The file
@@ -374,7 +388,7 @@ func (j *Job) openJournalSection(from, max int64, includeBase bool) (*journalSec
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.journal == nil {
-		return nil, fmt.Errorf("%w: job has no journal", ErrInvalid)
+		return nil, fmt.Errorf("%w: journal detached", ErrClosed)
 	}
 	durable, base, hdr := j.journal.view()
 	if from < base.Bytes {
@@ -814,10 +828,11 @@ func (j *Job) truncateJournal() error {
 
 // publish builds and atomically swaps in a fresh consensus snapshot through
 // the reusable core.Publisher. The live model keeps streaming untouched:
-// finalize runs on the publisher's shared-prefix clone, so a caught-up
-// (full) publication and the offline FitStream path produce identical
-// posteriors for identical batch sequences. Incremental publications share
-// the untouched items' snapshot entries with the previous publication.
+// finalize runs on a shared-prefix clone at the publisher's pinned
+// Parallelism, so a caught-up (full) publication and the offline FitStream
+// path produce identical posteriors for identical batch sequences.
+// Incremental publications share the untouched items' snapshot entries with
+// the previous publication.
 func (j *Job) publish(full bool) error {
 	start := time.Now()
 	view, dirty, err := j.pub.Publish(full)

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -102,7 +104,7 @@ func (r *Registry) Create(spec JobSpec) (*Job, error) {
 			os.RemoveAll(dir)
 			return nil, err
 		}
-		if err := writeFileAtomic(filepath.Join(dir, specFile), raw); err != nil {
+		if err := WriteFileAtomic(filepath.Join(dir, specFile), bytes.NewReader(raw)); err != nil {
 			os.RemoveAll(dir)
 			return nil, fmt.Errorf("serve: writing job spec: %w", err)
 		}
@@ -265,18 +267,28 @@ func hasJobState(dir string) (bool, error) {
 	return false, nil
 }
 
-// writeFileAtomic lands a file via tmp + rename so a crash mid-write never
-// leaves a torn spec for recovery to trip over.
-func writeFileAtomic(path string, data []byte) error {
+// WriteFileAtomic lands r's bytes at path through a temp file and a
+// rename, so a crash mid-write or a source that fails mid-stream (a peer
+// hanging up mid-body) never leaves a torn file at path for recovery to
+// trip over; on error the temp file is removed and path is untouched.
+// Nothing is fsynced: the rename is kill -9 safe, not power-loss safe.
+func WriteFileAtomic(path string, r io.Reader) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	_, err = io.Copy(f, r)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return nil
+	return err
 }
 
 // openExistingJob recovers one job from its directory: load the spec,

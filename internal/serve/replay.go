@@ -71,9 +71,10 @@ func seedModel(spec JobSpec, checkpoint io.Reader) (*core.Model, error) {
 	}
 	// A checkpoint records the Parallelism an auto-tuner left the job at.
 	// Fitting is bit-identical across Parallelism, but a full publication's
-	// finalize pass is not. A job's publisher keeps the Parallelism of its
-	// first publication, which is the spec's: seed at it, so every replay
-	// and every recovered job publishes the same bits.
+	// finalize pass is not. core.NewPublisher pins the Parallelism the
+	// model has when the publisher is built, and the live job builds its
+	// publisher at the spec's: seed at it too, so every replay and every
+	// recovered job pins the same value and publishes the same bits.
 	if err := m.Retune(spec.Model.Parallelism, 0); err != nil {
 		return nil, fmt.Errorf("%w: seed checkpoint: %v", ErrInvalid, err)
 	}

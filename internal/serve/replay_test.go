@@ -51,7 +51,7 @@ func WriteResidueJob(t testing.TB, dataDir, id string) (JobSpec, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFileAtomic(filepath.Join(dir, specFile), raw); err != nil {
+	if err := WriteFileAtomic(filepath.Join(dir, specFile), bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, journalFile)
